@@ -5,16 +5,17 @@ TCP transport (in-process event-loop thread, same code path as the CLI
 daemon):
 
 * **warm request throughput** — once the daemon has chased a workload, every
-  further identical ``decide`` is answered from the shared chase cache: the
-  engine performs zero chases per request, so the cost is one JSON line each
-  way plus a cache lookup.
+  further identical ``decide`` is answered from the shared chase cache, the
+  verdict memo and the text → query memo: the engine performs zero chases,
+  zero verdict tests and zero parses per request, so the cost is one JSON
+  line each way plus memo lookups.
 * **restart latency with vs without the disk store** — the first request of
   a freshly started daemon must chase cold (two sound chases for the
   Theorem 4.2 workload) unless a :class:`ChaseStore` file is attached, in
   which case the chases come off disk and the profile stays at zero runs.
 
-As elsewhere, the CI gate pins counts and ratios (chases per request, store
-hits) rather than wall-clock seconds; see
+As elsewhere, the CI gate pins counts and ratios (chases, verdict tests and
+parses per request, store hits) rather than wall-clock seconds; see
 ``benchmarks/baselines/BENCH_serve_throughput.json``.
 """
 
@@ -34,28 +35,41 @@ _WARM_REQUESTS = 25
 
 
 def bench_warm_decide_throughput(benchmark, ex41):
-    """Warm requests are chase-free: profile runs stay put across the loop."""
+    """Warm requests are chase-, parse- and verdict-test-free.
+
+    The profile's run count must stay put across the warm loop, and so must
+    the parse-memo and verdict-memo miss counts: a repeat decide is answered
+    from the text → query memo, the chase cache and the verdict memo alone.
+    """
     q1, q4 = render_query(ex41.q1), render_query(ex41.q4)
     server = ReproServer(Session(dependencies=ex41.dependencies), port=0)
     with server.start_in_thread() as handle:
         with ReproClient(handle.host, handle.port) as client:
             client.decide(q1, q4, "bag")  # absorb the cold chases up front
-            runs_before = client.stats()["profile"]["runs"]
+            before = client.stats()
+            sent = 0
 
             def warm_loop():
+                nonlocal sent
                 for _ in range(_WARM_REQUESTS):
                     verdict = client.decide(q1, q4, "bag")
+                sent += _WARM_REQUESTS
                 return verdict
 
             verdict = benchmark(warm_loop)
-            runs_after = client.stats()["profile"]["runs"]
+            after = client.stats()
+
+    def delta(section: str, key: str) -> int:
+        return after[section][key] - before[section][key]
 
     assert verdict["equivalent"] is False
-    assert runs_after == runs_before  # zero chases across every warm request
+    assert delta("profile", "runs") == 0  # zero chases across every warm request
     record(
         benchmark,
         requests_per_round=_WARM_REQUESTS,
-        chases_per_request=runs_after - runs_before,
+        chases_per_request=delta("profile", "runs"),
+        verdict_tests_per_request=delta("verdict_cache", "misses") / sent,
+        parses_per_request=delta("serve_memos", "parse_misses") / sent,
     )
 
 

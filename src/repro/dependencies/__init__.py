@@ -9,7 +9,6 @@ from .builders import (
     key_egds,
 )
 from .classify import (
-    classify_dependency,
     egd_as_positional_fd,
     extract_positional_fds,
     is_key_based_tgd,
@@ -39,7 +38,6 @@ __all__ = [
     "Dependency",
     "DependencySet",
     "augment_schema_with_tuple_ids",
-    "classify_dependency",
     "dependency_graph",
     "dependency_set_with_tuple_ids",
     "detect_set_enforcing_predicates",

@@ -130,16 +130,3 @@ def is_key_based_tgd(tgd: TGD, dependencies: DependencySet) -> bool:
         ):
             return False
     return True
-
-
-def classify_dependency(dependency: Dependency) -> str:
-    """A human-readable classification used by diagnostics and examples."""
-    if isinstance(dependency, EGD):
-        if egd_as_positional_fd(dependency) is not None:
-            return "egd (functional dependency)"
-        return "egd"
-    if dependency.is_full():
-        return "full tgd"
-    if dependency.is_inclusion_dependency():
-        return "inclusion dependency"
-    return "tgd"

@@ -13,9 +13,8 @@ accepted candidate.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Hashable, Iterator, Sequence
+from typing import Iterator
 
-from ..core.atoms import Atom
 from ..core.query import ConjunctiveQuery
 from ..core.terms import Variable
 
@@ -52,34 +51,3 @@ def iter_subqueries(
 def count_subquery_candidates(universal_plan: ConjunctiveQuery) -> int:
     """Number of safe subqueries the backchase would consider (diagnostics)."""
     return sum(1 for _ in iter_subqueries(universal_plan))
-
-
-def subquery_atom_indices(
-    universal_plan: ConjunctiveQuery, candidate: ConjunctiveQuery
-) -> tuple[int, ...] | None:
-    """Indices of the universal plan's body atoms that *candidate* consists of.
-
-    Returns None when the candidate's body is not a sub-multiset of the
-    plan's body (e.g. for candidates produced elsewhere).
-    """
-    available: dict[Atom, list[int]] = {}
-    for index, atom in enumerate(universal_plan.body):
-        available.setdefault(atom, []).append(index)
-    chosen: list[int] = []
-    for atom in candidate.body:
-        slots = available.get(atom)
-        if not slots:
-            return None
-        chosen.append(slots.pop(0))
-    return tuple(sorted(chosen))
-
-
-def sub_multiset_of(
-    smaller: Sequence[Hashable], larger: Sequence[Hashable]
-) -> bool:
-    """Is *smaller* a sub-multiset of *larger* (used for minimality filtering)?"""
-    from collections import Counter
-
-    small_counts = Counter(smaller)
-    large_counts = Counter(larger)
-    return all(large_counts[key] >= count for key, count in small_counts.items())

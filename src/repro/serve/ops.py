@@ -12,9 +12,11 @@ acceptor's response path and by the worker loop alike.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable
 
 from ..chase.incremental import ChaseDelta
+from ..core.query import ConjunctiveQuery
 from ..datalog.parser import parse_atoms, parse_dependencies, parse_query
 from ..datalog.render import render_query
 from ..exceptions import (
@@ -28,11 +30,46 @@ from ..exceptions import (
 from ..session import Session
 from .protocol import ProtocolError
 
-__all__ = ["ENGINE_OPS", "execute_op", "error_payload_for"]
+__all__ = ["ENGINE_OPS", "execute_op", "error_payload_for", "stats_snapshot"]
 
 #: The CPU-bound ops a backend executes on an engine (thread or worker
 #: process); ``stats`` and ``health`` stay on the acceptor.
 ENGINE_OPS = ("decide", "reformulate", "batch", "analyze", "apply-delta")
+
+
+# --------------------------------------------------------------------------- #
+# Warm-path memos.  A repeat request re-sends the same query texts and gets
+# the same chased queries back, so both ends of the datalog boundary are
+# memoized (bounded like the Session's default chase cache).  Queries are
+# immutable and compare structurally, so sharing one parsed object across
+# requests is safe — and it lets the Session's per-object ChaseKey memo hit.
+# Parse errors raise and are never cached.  The memos hold no Σ-dependent
+# state, so nothing ever needs to invalidate them.
+# --------------------------------------------------------------------------- #
+MEMO_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _parse_memo(text: str) -> ConjunctiveQuery:
+    return parse_query(text)
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _render_memo(query: ConjunctiveQuery) -> str:
+    return render_query(query)
+
+
+def stats_snapshot(session: Session) -> dict[str, Any]:
+    """``session.stats()`` plus the parse/render memo counters of this process."""
+    stats = session.stats()
+    section: dict[str, Any] = {}
+    for name, memo in (("parse", _parse_memo), ("render", _render_memo)):
+        info = memo.cache_info()
+        section[f"{name}_hits"] = info.hits
+        section[f"{name}_misses"] = info.misses
+        section[f"{name}_size"] = info.currsize
+    stats["serve_memos"] = section
+    return stats
 
 
 # --------------------------------------------------------------------------- #
@@ -50,7 +87,7 @@ def _param_str(params: dict[str, Any], name: str) -> str:
 
 def _param_query(params: dict[str, Any], name: str) -> Any:
     try:
-        return parse_query(_param_str(params, name))
+        return _parse_memo(_param_str(params, name))
     except ParseError as exc:
         raise ProtocolError("parse-error", f"params.{name}: {exc}") from exc
 
@@ -117,7 +154,7 @@ def _op_decide(session: Session, params: dict[str, Any]) -> dict[str, Any]:
     return {
         "equivalent": bool(verdict),
         "semantics": str(verdict.semantics),
-        "chased": [render_query(verdict.chased_left), render_query(verdict.chased_right)],
+        "chased": [_render_memo(verdict.chased_left), _render_memo(verdict.chased_right)],
     }
 
 
@@ -162,7 +199,7 @@ def _op_batch(session: Session, params: dict[str, Any]) -> dict[str, Any]:
         try:
             if not isinstance(left, str) or not isinstance(right, str):
                 raise ParseError("pair entries must be strings")
-            pairs.append((parse_query(left), parse_query(right)))
+            pairs.append((_parse_memo(left), _parse_memo(right)))
         except ParseError as exc:
             parse_failures[index] = str(exc)
             pairs.append(None)
@@ -264,10 +301,10 @@ def _op_apply_delta(session: Session, params: dict[str, Any]) -> dict[str, Any]:
         "replayed_steps": outcome.replayed_steps,
         "new_steps": outcome.new_steps,
         "steps_saved": outcome.steps_saved,
-        "query": render_query(
+        "query": _render_memo(
             checkpoint.base_query if checkpoint is not None else query
         ),
-        "chased": render_query(outcome.result.query),
+        "chased": _render_memo(outcome.result.query),
         "dependencies": len(session.dependencies),
     }
 

@@ -59,7 +59,7 @@ from ..exceptions import ReproError, SemanticsError
 from ..session import Session
 from ..session.engine import merge_stats
 from ..session.strategies import BUILTIN_STRATEGIES
-from .ops import error_payload_for, execute_op
+from .ops import error_payload_for, execute_op, stats_snapshot
 from .protocol import ERROR_CODES, ProtocolError
 
 __all__ = [
@@ -143,7 +143,7 @@ class ThreadEngineBackend:
         )
 
     async def stats_snapshot(self) -> dict[str, Any]:
-        return self.session.stats()
+        return stats_snapshot(self.session)
 
     @property
     def dependency_count(self) -> int:
@@ -224,7 +224,7 @@ def _worker_main(
                 break
             _, rid, op, params, version = message
             if op == "stats":
-                snapshot = session.stats()
+                snapshot = stats_snapshot(session)
                 snapshot["worker"] = {
                     "pid": os.getpid(),
                     "requests": requests,

@@ -207,9 +207,17 @@ class Session:
         self._batch_pool_key: tuple[int, int, object] | None = None
         self._batch_shm: Any = None
         self._batch_pools_created = 0
+        # Verdicts of the dependency-free test, keyed by (strategy name,
+        # cache token, chased left, chased right): a repeat decide on cached
+        # chases skips the test.  The key holds the chased queries, not the
+        # chase-cache entry, so a chase cache shared with other sessions
+        # cannot make a verdict stale; Σ is not in the key (the bag test
+        # reads Σ's set-valued markers), so every Σ change clears it.
+        self._verdicts = ChaseCache(cache_size)
         # Any registration that shadows an existing semantics name — through
-        # this object or the registry directly — must drop cached chases.
-        self.registry.on_shadow(self.cache.invalidate)
+        # this object or the registry directly — must drop cached chases and
+        # the verdicts computed by the replaced strategy.
+        self.registry.on_shadow(self.clear_cache)
 
     # ------------------------------------------------------------------ #
     # Dependencies: Σ is session state; changing it invalidates the cache.
@@ -257,7 +265,7 @@ class Session:
         self._certificate = certificate
         self._sigma_key = None
         self._key_memo.clear()  # memoized keys embed the old Σ fingerprint
-        self.cache.invalidate()
+        self.clear_cache()
 
     def _run_precheck(self, dependencies: DependencySet):
         """Analyze Σ; in strict mode raise on error-severity diagnostics."""
@@ -288,9 +296,10 @@ class Session:
         """Register a third-party semantics strategy on this session.
 
         Replacing a strategy whose name (or alias) is already registered
-        invalidates the chase cache (via the registry's shadow listener):
-        cache keys carry only the semantics name, so results chased by the
-        replaced strategy must not be served as the new strategy's.
+        invalidates the chase cache and the verdict memo (via the registry's
+        shadow listener): cache keys carry only the semantics name, so
+        results chased or tested by the replaced strategy must not be served
+        as the new strategy's.
         """
         return self.registry.register(strategy, replace=replace)
 
@@ -605,11 +614,15 @@ class Session:
         semantics: object | None = None,
         max_steps: int | None = None,
     ) -> EquivalenceVerdict:
-        """Decide ``Q1 ≡Σ,X Q2`` for semantics X, with chases served from cache."""
+        """Decide ``Q1 ≡Σ,X Q2`` for semantics X, with chases and verdicts cached."""
         strategy = self.strategy_for(semantics)
         chased1 = self.chase(q1, strategy.name, max_steps).query
         chased2 = self.chase(q2, strategy.name, max_steps).query
-        equivalent = strategy.equivalent_chased(chased1, chased2, self._dependencies)
+        key = (strategy.name, strategy.cache_token(), chased1, chased2)
+        equivalent = self._verdicts.get(key)
+        if equivalent is MISSING:
+            equivalent = strategy.equivalent_chased(chased1, chased2, self._dependencies)
+            self._verdicts.put(key, equivalent)
         return EquivalenceVerdict(equivalent, strategy.token, chased1, chased2)
 
     def decide_all(
@@ -813,6 +826,8 @@ class Session:
 
         * ``chase_cache`` — the in-memory result cache
           (:meth:`cache_stats`, flattened);
+        * ``verdict_cache`` — the memo of dependency-free test verdicts
+          that lets a repeat :meth:`decide` skip the test;
         * ``plan_cache`` — the compiled-match-plan cache (process-wide by
           default, see :meth:`plan_cache_stats`);
         * ``intern`` — process-wide term intern-table counters and live
@@ -830,6 +845,7 @@ class Session:
         from ..core.terms import INTERN_STATS, intern_table_sizes
 
         cache = self.cache.stats
+        verdicts = self._verdicts.stats
         plan_hits, plan_misses, plan_evictions = self.plan_cache_stats()
         variables, constants = intern_table_sizes()
         stats: dict[str, object] = {
@@ -841,6 +857,13 @@ class Session:
                 "size": cache.size,
                 "maxsize": cache.maxsize,
                 "hit_rate": cache.hit_rate,
+            },
+            "verdict_cache": {
+                "hits": verdicts.hits,
+                "misses": verdicts.misses,
+                "evictions": verdicts.evictions,
+                "invalidations": verdicts.invalidations,
+                "size": verdicts.size,
             },
             "plan_cache": {
                 "hits": plan_hits,
@@ -891,8 +914,9 @@ class Session:
         self.store = store
 
     def clear_cache(self) -> None:
-        """Drop every cached chase result (Σ stays untouched)."""
+        """Drop every cached chase result and verdict (Σ stays untouched)."""
         self.cache.invalidate()
+        self._verdicts.invalidate()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -46,11 +46,11 @@ class SemanticsRegistry:
     def on_shadow(self, callback: Callable[[], None]) -> None:
         """Call *callback* whenever a registration shadows an existing name.
 
-        Sessions subscribe their chase-cache invalidation here: cache keys
-        carry only the semantics name, so results chased by a replaced
-        strategy must never be served as the replacement's.  Bound methods
-        are held weakly, so a registry shared across many (possibly
-        short-lived) sessions does not keep their caches alive.
+        Sessions subscribe :meth:`~repro.session.Session.clear_cache` here:
+        cache keys carry only the semantics name, so chases and verdicts
+        computed by a replaced strategy must never be served as the
+        replacement's.  Bound methods are held weakly, so a registry shared
+        across many (possibly short-lived) sessions does not keep them alive.
         """
         ref: Callable[[], Callable[[], None] | None]
         try:
