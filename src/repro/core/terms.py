@@ -46,13 +46,8 @@ construction (Definition 4.2 of the paper) rely on this.
 from __future__ import annotations
 
 import itertools
-import pickle
-import struct
 import weakref
-from typing import TYPE_CHECKING, ClassVar, Hashable, Iterable, Iterator, Union
-
-if TYPE_CHECKING:  # runtime imports stay lazy: workers import terms early
-    from multiprocessing.shared_memory import SharedMemory
+from typing import ClassVar, Hashable, Iterable, Iterator, Union
 
 
 class HitMissStats:
@@ -254,154 +249,6 @@ def intern_table_sizes() -> tuple[int, int]:
     whose last strong reference died no longer appear.
     """
     return (len(Variable._intern), len(Constant._intern))
-
-
-#: Snapshots pinned by :func:`pin_interned_terms`: strong references that keep
-#: the re-interned terms alive for the process lifetime, so the weak tables
-#: cannot drop them between requests / batch items.
-_PINNED_SNAPSHOTS: list[tuple[Term, ...]] = []
-
-
-def export_interned_terms() -> list[tuple[str, Hashable]]:
-    """Snapshot every live interned term as picklable ``(kind, payload)`` pairs.
-
-    The snapshot is what a parent ships to worker processes (the
-    ``decide_many(..., concurrency=N)`` pool initializer, multi-worker
-    serving) so workers re-intern the parent's working vocabulary once, up
-    front, instead of miss-by-miss as payloads arrive.  Under the ``fork``
-    start method the tables are inherited anyway and re-pinning is nearly
-    free; under ``spawn`` the snapshot is the only thing standing between a
-    worker and an entirely cold table.  ``uid`` values are deliberately not
-    part of the snapshot: uids are process-local by design.
-    """
-    snapshot: list[tuple[str, Hashable]] = []
-    # list() first: iterating a WeakValueDictionary directly would break if
-    # GC drops an entry mid-iteration.
-    for variable in list(Variable._intern.values()):
-        snapshot.append(("V", variable.name))
-    for constant in list(Constant._intern.values()):
-        snapshot.append(("C", constant.value))
-    return snapshot
-
-
-def pin_interned_terms(snapshot: Iterable[tuple[str, Hashable]]) -> int:
-    """Re-intern a snapshot from :func:`export_interned_terms` and pin it.
-
-    Pinning holds strong references for the rest of the process, making the
-    snapshot effectively a read-only warm table: every subsequent
-    construction of a snapshotted name/value is an intern hit, never a miss,
-    and the weak tables cannot evict them while idle.  Returns the number of
-    terms pinned.
-    """
-    pinned: list[Term] = []
-    for kind, payload in snapshot:
-        if kind == "V":
-            assert isinstance(payload, str)
-            pinned.append(Variable(payload))
-        elif kind == "C":
-            pinned.append(Constant(payload))
-        else:
-            raise ValueError(f"unknown intern snapshot entry kind {kind!r}")
-    _PINNED_SNAPSHOTS.append(tuple(pinned))
-    return len(pinned)
-
-
-# --------------------------------------------------------------------------- #
-# Shared-memory intern snapshots.
-#
-# export_interned_terms() + pin_interned_terms() already move a vocabulary
-# across a process boundary, but shipping the snapshot through pickle in the
-# worker initargs serializes it once *per worker*.  SharedInternSnapshot
-# serializes it exactly once, into a multiprocessing.shared_memory segment;
-# every worker — pool initializer, serve engine process, respawn after a
-# crash — attaches the same segment read-only and pins from it.
-# --------------------------------------------------------------------------- #
-
-#: Segment layout: an 8-byte little-endian payload length, then the pickled
-#: snapshot.  The length prefix is required because the OS rounds segment
-#: sizes up to a page, so ``shm.size`` alone cannot delimit the payload.
-_SHM_HEADER = struct.Struct("<Q")
-
-
-class SharedInternSnapshot:
-    """An intern snapshot published once into shared memory.
-
-    The *creating* process (the serve acceptor, or a Session about to build
-    a batch pool) calls :meth:`create`, keeps the object alive for as long as
-    workers may attach (respawned workers re-attach the same segment), and
-    calls :meth:`destroy` when done.  Each *worker* calls
-    :meth:`attach_and_pin` with the segment :attr:`name`; the worker copies
-    the payload out, pins the terms, and detaches immediately — the segment
-    is only held open for the duration of the call.
-    """
-
-    def __init__(self, shm: "SharedMemory", count: int, payload_bytes: int):
-        self._shm = shm
-        self.name: str = shm.name
-        self.count = count
-        self.payload_bytes = payload_bytes
-
-    @classmethod
-    def create(
-        cls, snapshot: "Iterable[tuple[str, Hashable]] | None" = None
-    ) -> "SharedInternSnapshot":
-        """Publish *snapshot* (default: the live tables) into shared memory.
-
-        Raises whatever ``multiprocessing.shared_memory`` raises on platforms
-        without it (callers fall back to shipping the snapshot inline).
-        """
-        from multiprocessing import shared_memory
-
-        entries = export_interned_terms() if snapshot is None else list(snapshot)
-        payload = pickle.dumps(entries, protocol=pickle.HIGHEST_PROTOCOL)
-        data = _SHM_HEADER.pack(len(payload)) + payload
-        shm = shared_memory.SharedMemory(create=True, size=len(data))
-        shm.buf[: len(data)] = data
-        return cls(shm, len(entries), len(payload))
-
-    @staticmethod
-    def attach_and_pin(name: str) -> int:
-        """Attach segment *name*, pin its snapshot, detach; returns terms pinned.
-
-        Raises ``FileNotFoundError`` when the segment does not exist (e.g.
-        the parent already shut down); callers treat that as a cold start.
-        """
-        from multiprocessing import shared_memory
-
-        # Note on the resource tracker: every worker that attaches here is a
-        # descendant of the creating process, so it shares the parent's
-        # resource-tracker daemon — the attach-side re-registration is a
-        # set-level no-op and needs no unregister workaround.  (The tracker
-        # cleans the segment up only if the whole process tree dies without
-        # the owner's unlink — exactly the safety net we want.)
-        shm = shared_memory.SharedMemory(name=name)
-        try:
-            (length,) = _SHM_HEADER.unpack_from(shm.buf, 0)
-            entries = pickle.loads(bytes(shm.buf[_SHM_HEADER.size : _SHM_HEADER.size + length]))
-        finally:
-            shm.close()
-        return pin_interned_terms(entries)
-
-    def close(self) -> None:
-        """Detach this process's view (the segment itself stays)."""
-        try:
-            self._shm.close()
-        except Exception:
-            pass
-
-    def unlink(self) -> None:
-        """Remove the segment from the system (idempotent)."""
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:
-            pass
-        except Exception:
-            pass
-
-    def destroy(self) -> None:
-        """Detach and unlink — the full owner-side teardown (idempotent)."""
-        self.close()
-        self.unlink()
 
 
 def is_variable(term: Term) -> bool:

@@ -18,11 +18,9 @@ matter which backend served it.
 
 The process pool's design points:
 
-* **Warm starts.**  Each worker attaches the parent's shared-memory intern
-  snapshot (:class:`~repro.core.terms.SharedInternSnapshot` — serialized
-  once, attached by every spawn and respawn) and opens its own handle on
-  the digest-keyed disk :class:`~repro.serve.store.ChaseStore`, so a fresh
-  worker's first request is a store hit, not a cold chase.
+* **Warm starts.**  Each worker opens its own handle on the digest-keyed
+  disk :class:`~repro.serve.store.ChaseStore`, so a fresh worker's first
+  request is a store hit, not a cold chase.
 * **Backpressure.**  Client requests beyond ``max_inflight`` are refused
   immediately with a structured ``overloaded`` error instead of queueing
   without bound.
@@ -50,15 +48,13 @@ import signal
 import sys
 import threading
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Any, Hashable, Protocol
+from dataclasses import dataclass, field
+from typing import Any, Protocol
 
-from ..core.terms import SharedInternSnapshot, export_interned_terms, pin_interned_terms
 from ..dependencies.base import DependencySet
-from ..exceptions import ReproError, SemanticsError
+from ..exceptions import ReproError
 from ..session import Session
 from ..session.engine import merge_stats
-from ..session.strategies import BUILTIN_STRATEGIES
 from .ops import error_payload_for, execute_op, stats_snapshot
 from .protocol import ERROR_CODES, ProtocolError
 
@@ -165,9 +161,6 @@ class WorkerSpec:
     default_semantics: Any
     precheck: str | None = None
     store_path: str | None = None
-    shm_name: str | None = None
-    #: Inline snapshot fallback for platforms without shared memory.
-    intern_snapshot: "tuple[tuple[str, Hashable], ...] | None" = None
     cache_size: int = 4096
 
 
@@ -177,7 +170,7 @@ def _worker_main(
     """The engine worker loop: recv op, execute, send result; forever.
 
     Messages in: ``("req", rid, op, params, version)`` and ``("stop",)``.
-    Messages out: ``("ready", pid, pinned)``, ``("ok", rid, result)``,
+    Messages out: ``("ready", pid)``, ``("ok", rid, result)``,
     ``("err", rid, code, message, detail)``.
     """
     # The parent's asyncio signal handlers were inherited across the fork;
@@ -187,15 +180,6 @@ def _worker_main(
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         signal.set_wakeup_fd(-1)
-
-    pinned = 0
-    if spec.shm_name is not None:
-        try:
-            pinned = SharedInternSnapshot.attach_and_pin(spec.shm_name)
-        except (FileNotFoundError, OSError):
-            pinned = 0
-    if not pinned and spec.intern_snapshot:
-        pinned = pin_interned_terms(spec.intern_snapshot)
 
     store = None
     if spec.store_path is not None:
@@ -214,7 +198,7 @@ def _worker_main(
     requests = 0
     sigma_version = 0
     try:
-        conn.send(("ready", os.getpid(), pinned))
+        conn.send(("ready", os.getpid()))
         while True:
             try:
                 message = conn.recv()
@@ -229,7 +213,6 @@ def _worker_main(
                     "pid": os.getpid(),
                     "requests": requests,
                     "sigma_version": sigma_version,
-                    "pinned_terms": pinned,
                 }
                 conn.send(("ok", rid, snapshot))
                 continue
@@ -273,7 +256,6 @@ class _Worker:
     pid: int | None = None
     ready: bool = False
     closing: bool = False
-    pinned: int = 0
     requests_sent: int = 0
     #: Version of the last delta *sent* down this worker's pipe.  Invariant
     #: (all mutation happens on the event loop): every worker's pipe has
@@ -289,23 +271,6 @@ class _Worker:
     def busy(self) -> bool:
         """Is an engine op (anything but a stats probe) outstanding?"""
         return any(op != "stats" for op, _ in self.outstanding.values())
-
-
-def require_builtin_semantics(session: Session) -> None:
-    """Refuse the process backend when the registry holds custom strategies.
-
-    Worker processes rebuild Sessions with the default registry, so a custom
-    strategy object registered on the acceptor's session would silently run
-    different code in the workers — the same contract as
-    ``decide_many(..., concurrency=N)``.
-    """
-    for name in session.semantics_names():
-        if type(session.registry.resolve(name)) not in BUILTIN_STRATEGIES:
-            raise SemanticsError(
-                f"semantics {name!r} is bound to a custom strategy; "
-                "custom strategies cannot be shipped to engine worker "
-                "processes — run with --workers 1"
-            )
 
 
 class ProcessEngineBackend:
@@ -324,7 +289,6 @@ class ProcessEngineBackend:
         workers: int,
         *,
         max_inflight: int | None = None,
-        mp_context: str | None = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -334,13 +298,11 @@ class ProcessEngineBackend:
             max_inflight if max_inflight and max_inflight > 0
             else workers * DEFAULT_QUEUE_DEPTH
         )
-        self._ctx = multiprocessing.get_context(mp_context)
         self._workers: list[_Worker] = []
         self._pending: deque[tuple[str, dict[str, Any], "asyncio.Future[Any]"]] = deque()
         self._rids = itertools.count(1)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._delta_lock: asyncio.Lock | None = None
-        self._shm: SharedInternSnapshot | None = None
         self._closing = False
         self._inflight = 0
         self._sigma_version = 0
@@ -360,17 +322,6 @@ class ProcessEngineBackend:
     async def start(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._delta_lock = asyncio.Lock()
-        if self.spec.shm_name is None:
-            try:
-                self._shm = SharedInternSnapshot.create()
-            except Exception:
-                self._shm = None
-            if self._shm is not None:
-                self.spec = replace(self.spec, shm_name=self._shm.name)
-            elif self.spec.intern_snapshot is None:
-                self.spec = replace(
-                    self.spec, intern_snapshot=tuple(export_interned_terms())
-                )
         for slot in range(self.workers_target):
             self._workers.append(self._spawn_worker(slot))
 
@@ -401,14 +352,11 @@ class ProcessEngineBackend:
             _, _, future = self._pending.popleft()
             if not future.done():
                 future.cancel()
-        if self._shm is not None:
-            self._shm.destroy()
-            self._shm = None
 
     def _spawn_worker(self, slot: int) -> _Worker:
         assert self._loop is not None
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
+        parent_conn, child_conn = multiprocessing.Pipe()
+        process = multiprocessing.Process(
             target=_worker_main,
             args=(child_conn, self.spec),
             name=f"repro-serve-worker-{slot}",
@@ -456,7 +404,6 @@ class ProcessEngineBackend:
         if kind == "ready":
             worker.ready = True
             worker.pid = message[1]
-            worker.pinned = message[2]
             self._pump()
             return
         rid = message[1]
@@ -701,7 +648,7 @@ class ProcessEngineBackend:
         return merged
 
     def pool_stats(self) -> dict[str, Any]:
-        stats: dict[str, Any] = {
+        return {
             "workers": len(self._workers),
             "target_workers": self.workers_target,
             "sigma_version": self._sigma_version,
@@ -714,13 +661,6 @@ class ProcessEngineBackend:
             "deltas_broadcast": self.deltas_broadcast,
             "requests_dispatched": self.requests_dispatched,
         }
-        if self._shm is not None:
-            stats["intern_snapshot"] = {
-                "shm_name": self._shm.name,
-                "terms": self._shm.count,
-                "payload_bytes": self._shm.payload_bytes,
-            }
-        return stats
 
     # Test/diagnostic helpers -------------------------------------------- #
     def worker_pids(self) -> list[int]:

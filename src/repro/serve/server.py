@@ -15,9 +15,8 @@ Architecture (see :mod:`repro.serve.protocol` for the wire format):
   - with ``--workers N`` a **process pool** backend fans requests out to N
     long-lived engine processes over pipes — bounded in-flight queue with
     structured ``overloaded`` backpressure, crash detection + respawn
-    (``worker-crashed``), shared-memory intern snapshots, and monotonically
-    versioned ``apply-delta`` broadcasts keeping per-worker caches
-    coherent;
+    (``worker-crashed``), and monotonically versioned ``apply-delta``
+    broadcasts keeping per-worker caches coherent;
 
 * a **per-request timeout** (:func:`asyncio.wait_for`) turns a runaway
   request into a structured ``timeout`` error for its client.  An engine
@@ -41,13 +40,13 @@ from typing import Any
 
 from ..session import Session
 from ..session.engine import ChaseResultStore
+from ..session.strategies import require_builtin_strategy
 from .ops import error_payload_for, execute_op  # noqa: F401  (execute_op re-exported)
 from .pool import (
     ProcessEngineBackend,
     RemoteEngineError,
     ThreadEngineBackend,
     WorkerSpec,
-    require_builtin_semantics,
 )
 from .protocol import (
     DEFAULT_TIMEOUT,
@@ -112,7 +111,8 @@ class ReproServer:
             # attached to the acceptor session: the parent never chases —
             # each worker opens its own handle on the store path and warms
             # from disk at spawn and respawn.
-            require_builtin_semantics(session)
+            for name in session.semantics_names():
+                require_builtin_strategy(session.registry.resolve(name))
             store_obj = store if store is not None else session.store
             store_path = getattr(store_obj, "path", None)
             sigma = session.dependencies

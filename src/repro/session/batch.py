@@ -8,24 +8,25 @@ other thousand).
 
 Sequentially, items share the calling session's chase cache — a workload
 whose pairs overlap chases each distinct (query, semantics) once.  With
-``concurrency=N`` the items are fanned out over N worker processes, each
-owning its own session (and cache) initialized once per process; results
-stream back in input order.  Multiprocessing is only available for the
-built-in semantics — a third-party strategy object lives in the parent
-process and is not shipped across the fork.
+``concurrency=N`` each call opens one pool of N worker processes, each
+owning its own session (and cache) rebuilt from Σ and the step budget, and
+shuts it down before returning; results come back in input order.
+Multiprocessing is only available for the built-in semantics — a
+third-party strategy object lives in the parent process and is not shipped
+across the fork.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 from dataclasses import dataclass, field
-from typing import Any, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..core.aggregate import AggregateQuery
 from ..core.query import ConjunctiveQuery
 from ..dependencies.base import DependencySet
-from ..exceptions import SemanticsError
 from .registry import normalize_semantics_name
-from .strategies import BUILTIN_STRATEGIES
+from .strategies import require_builtin_strategy
 
 _CHUNKSIZE = 8
 
@@ -110,34 +111,10 @@ class BatchReport:
 _WORKER_SESSION: Any = None
 
 
-def _init_worker(
-    dependencies: DependencySet,
-    max_steps: int,
-    intern_snapshot: "list[tuple[str, Hashable]] | None" = None,
-    shm_name: str | None = None,
-) -> None:
+def _init_worker(dependencies: DependencySet, max_steps: int) -> None:
     global _WORKER_SESSION
-    from ..core.terms import SharedInternSnapshot, pin_interned_terms
     from .engine import Session
 
-    # Warm the worker's intern tables with the parent's live vocabulary
-    # before the first payload arrives, and pin the terms so the weak
-    # tables cannot drop them between items.  Under the fork start
-    # method the tables are inherited and this is nearly free; under
-    # spawn it replaces per-payload re-interning from an empty table.
-    # The shared-memory segment is preferred — the parent serialized the
-    # snapshot exactly once — with the inline pickle as the fallback for
-    # platforms without shared memory (and a missing segment just means a
-    # cold start, never a failure).
-    pinned = False
-    if shm_name is not None:
-        try:
-            SharedInternSnapshot.attach_and_pin(shm_name)
-            pinned = True
-        except (FileNotFoundError, OSError):
-            pinned = False
-    if not pinned and intern_snapshot:
-        pin_interned_terms(intern_snapshot)
     _WORKER_SESSION = Session(dependencies=dependencies, max_steps=max_steps)
 
 
@@ -159,26 +136,16 @@ def _reformulate_worker(payload):
         return index, None, str(exc), type(exc).__name__
 
 
-def _require_builtin_for_concurrency(strategy) -> None:
-    # Exact type check: worker processes rebuild Sessions with the default
-    # registry, so anything but a stock built-in strategy instance — a custom
-    # strategy, or a subclass shadowing a built-in name — would silently run
-    # different code in the workers than in this process.
-    if type(strategy) not in BUILTIN_STRATEGIES:
-        raise SemanticsError(
-            f"strategy {strategy!r} is a custom semantics strategy; "
-            "custom strategies cannot be shipped to worker processes — "
-            "run the batch without concurrency"
-        )
-
-
-def _run_pool(session, worker, payloads, concurrency: int):
-    # The pool lives on the Session (created lazily, reused across calls,
-    # torn down on Session.close() or when Σ/max_steps change), so repeated
-    # batch calls stop paying process startup plus snapshot re-warm each
-    # time; see Session._ensure_batch_pool.
-    pool = session._ensure_batch_pool(concurrency)
-    yield from pool.map(worker, payloads, chunksize=_CHUNKSIZE)
+def _run_pool(session, worker, payloads, concurrency: int) -> list:
+    # One pool per call, shut down before returning: no worker outlives the
+    # batch, and a pool broken by a dead worker cannot poison the next call.
+    # The class is looked up at call time so tests can substitute it.
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=concurrency,
+        initializer=_init_worker,
+        initargs=(session.dependencies, session.max_steps),
+    ) as pool:
+        return list(pool.map(worker, payloads, chunksize=_CHUNKSIZE))
 
 
 # --------------------------------------------------------------------------- #
@@ -207,7 +174,7 @@ def _execute_batch(
     report = BatchReport(kind=kind, semantics=strategy.token)
 
     if concurrency is not None and concurrency > 1 and len(items) > 1:
-        _require_builtin_for_concurrency(strategy)
+        require_builtin_strategy(strategy)
         # Payload construction gets the same per-item capture as execution:
         # one malformed input must not sink the rest of the batch.
         payloads = []

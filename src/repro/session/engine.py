@@ -198,15 +198,6 @@ class Session:
             "steps_executed": 0,
             "steps_saved": 0,
         }
-        # Reusable batch worker pool (decide_many / reformulate_many with
-        # concurrency): created lazily on first use, reused while
-        # (concurrency, max_steps, Σ) stay put, torn down on close().  The
-        # shared-memory intern snapshot that warms its workers is owned
-        # alongside it.
-        self._batch_pool: Any = None
-        self._batch_pool_key: tuple[int, int, object] | None = None
-        self._batch_shm: Any = None
-        self._batch_pools_created = 0
         # Verdicts of the dependency-free test, keyed by (strategy name,
         # cache token, chased left, chased right): a repeat decide on cached
         # chases skips the test.  The key holds the chased queries, not the
@@ -717,78 +708,6 @@ class Session:
             **kwargs,
         )
 
-    def _ensure_batch_pool(self, concurrency: int):
-        """The reusable worker pool for batch concurrency (lazily created).
-
-        The pool is keyed on ``(concurrency, max_steps, Σ fingerprint)``:
-        workers bind Σ and the step budget at initializer time, so any change
-        to either tears the old pool down and builds a fresh one.  Workers
-        warm their intern tables from a shared-memory snapshot
-        (:class:`~repro.core.terms.SharedInternSnapshot`) serialized once
-        here, falling back to an inline pickled snapshot on platforms
-        without shared memory.
-        """
-        if self._sigma_key is None:
-            self._sigma_key = sigma_fingerprint(self._dependencies)
-        key = (concurrency, self.max_steps, self._sigma_key)
-        if self._batch_pool is not None and self._batch_pool_key == key:
-            return self._batch_pool
-        self._teardown_batch_pool()
-        from concurrent.futures import ProcessPoolExecutor
-
-        from ..core.terms import SharedInternSnapshot, export_interned_terms
-        from .batch import _init_worker
-
-        shm = None
-        inline = None
-        try:
-            shm = SharedInternSnapshot.create()
-        except Exception:
-            inline = export_interned_terms()
-        self._batch_pool = ProcessPoolExecutor(
-            max_workers=concurrency,
-            initializer=_init_worker,
-            initargs=(
-                self._dependencies,
-                self.max_steps,
-                inline,
-                shm.name if shm is not None else None,
-            ),
-        )
-        self._batch_shm = shm
-        self._batch_pool_key = key
-        self._batch_pools_created += 1
-        return self._batch_pool
-
-    def _teardown_batch_pool(self, wait: bool = True) -> None:
-        pool, self._batch_pool, self._batch_pool_key = self._batch_pool, None, None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=wait, cancel_futures=True)
-            except Exception:
-                pass
-        shm, self._batch_shm = self._batch_shm, None
-        if shm is not None:
-            shm.destroy()
-
-    def close(self) -> None:
-        """Release pooled resources: the batch worker pool and its shm segment.
-
-        The session stays usable afterwards — the next concurrent batch call
-        simply builds a fresh pool.  An attached store is *not* closed here
-        (its lifetime belongs to whoever attached it, e.g. the serve daemon).
-        """
-        self._teardown_batch_pool()
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing is not testable
-        # Best-effort: a dropped session must not leak worker processes or a
-        # shared-memory segment.  Interpreter shutdown may have torn half the
-        # world down already, hence the blanket guard.
-        try:
-            self._teardown_batch_pool(wait=False)
-        except Exception:
-            pass
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
@@ -881,10 +800,6 @@ class Session:
                 **self._incremental,
                 "checkpoints": len(self._checkpoints),
                 "resumable": self.chase_resumable,
-            },
-            "batch_pool": {
-                "workers": self._batch_pool_key[0] if self._batch_pool_key else 0,
-                "pools_created": self._batch_pools_created,
             },
         }
         if self.store is not None:

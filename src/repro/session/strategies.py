@@ -29,6 +29,7 @@ from ..core.bag_equivalence import (
 from ..core.containment import is_set_equivalent
 from ..core.query import ConjunctiveQuery
 from ..dependencies.base import DependencySet
+from ..exceptions import SemanticsError
 from ..semantics import Semantics
 
 class SemanticsStrategy(abc.ABC):
@@ -199,3 +200,20 @@ class BagSetStrategy(_BuiltinStrategy):
 #: Constructors for the built-in strategies, in Proposition 6.1 order
 #: (bag ⇒ bag-set ⇒ set): the strongest semantics first.
 BUILTIN_STRATEGIES = (BagStrategy, BagSetStrategy, SetStrategy)
+
+
+def require_builtin_strategy(strategy: SemanticsStrategy) -> None:
+    """Refuse *strategy* for worker-process execution unless it is a stock built-in.
+
+    Worker processes rebuild Sessions with the default registry, so anything
+    but a stock built-in strategy instance — a custom strategy, or a subclass
+    shadowing a built-in name (hence the exact type check) — would silently
+    run different code in the workers than in this process.  Guards
+    ``decide_many(..., concurrency=N)`` and ``repro serve --workers N``.
+    """
+    if type(strategy) not in BUILTIN_STRATEGIES:
+        raise SemanticsError(
+            f"strategy {strategy!r} is a custom semantics strategy; "
+            "custom strategies cannot be shipped to worker processes — "
+            "run the batch without concurrency, or serve with --workers 1"
+        )

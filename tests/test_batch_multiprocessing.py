@@ -3,11 +3,17 @@
 The in-process pipeline is exercised throughout ``tests/test_session.py``;
 these tests pin down the fan-out path: input-order results, per-item error
 capture inside workers *and* during payload construction, chase-cache
-isolation between the parent session and the worker processes, and the
-rejection of custom strategies that cannot be shipped across the fork.
+isolation between the parent session and the worker processes, the
+rejection of custom strategies that cannot be shipped across the fork, and
+the call-scoped pool (no worker outlives a call, and a broken pool does not
+outlive it either).
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -166,70 +172,38 @@ class TestConcurrencyGuards:
         assert session.cache_stats().misses > 0
 
 
-class TestPoolReuse:
-    """The Session-held worker pool: spawned once, reused across batches,
-    torn down on Σ change and on close()."""
+def _die(payload):
+    os._exit(1)
 
-    def test_pool_is_reused_across_batch_calls(self, sigma, pairs):
+
+class TestCallScopedPool:
+    def test_no_worker_outlives_the_call(self, sigma, pairs):
+        report = Session(dependencies=sigma).decide_many(
+            pairs, semantics="bag", concurrency=2
+        )
+        assert all(item.ok for item in report)
+        assert multiprocessing.active_children() == []
+
+    def test_each_call_decides_under_the_current_sigma(self, sigma, pairs):
         session = Session(dependencies=sigma)
         session.decide_many(pairs, semantics="bag", concurrency=2)
-        first_pool = session._batch_pool
-        assert first_pool is not None
-        session.decide_many(pairs, semantics="bag-set", concurrency=2)
-        assert session._batch_pool is first_pool
-        assert session.stats()["batch_pool"] == {
-            "workers": 2,
-            "pools_created": 1,
-        }
-        session.close()
-
-    def test_pool_is_rebuilt_on_concurrency_change(self, sigma, pairs):
-        session = Session(dependencies=sigma)
-        session.decide_many(pairs, semantics="bag", concurrency=2)
-        first_pool = session._batch_pool
-        session.decide_many(pairs, semantics="bag", concurrency=3)
-        assert session._batch_pool is not first_pool
-        assert session.stats()["batch_pool"]["pools_created"] == 2
-        session.close()
-
-    def test_pool_is_rebuilt_on_sigma_change(self, sigma, pairs):
-        session = Session(dependencies=sigma)
-        session.decide_many(pairs, semantics="bag", concurrency=2)
-        first_pool = session._batch_pool
         session.set_dependencies(parse_dependencies("p(X,Y) -> q(Y)"))
         q = parse_query
         new_pairs = [(q("Q(X) :- p(X,Y)"), q("Q(X) :- p(X,Y), q(Y)"))] * 2
         report = session.decide_many(new_pairs, semantics="set", concurrency=2)
-        assert all(item.ok for item in report)
-        assert session._batch_pool is not first_pool
-        assert session.stats()["batch_pool"]["pools_created"] == 2
-        session.close()
+        # Equivalent only under the new Σ: a worker on the old Σ says no.
+        assert [bool(item.result) for item in report] == [True, True]
 
-    def test_close_tears_the_pool_down(self, sigma, pairs):
+    def test_a_broken_pool_does_not_break_the_next_call(self, sigma, pairs, monkeypatch):
+        # A worker that dies mid-batch breaks that call's pool; the next call
+        # on the same session must get a fresh pool, not the broken one.
+        import repro.session.batch as batch_module
+
         session = Session(dependencies=sigma)
-        session.decide_many(pairs, semantics="bag", concurrency=2)
-        assert session._batch_pool is not None
-        had_shm = session._batch_shm
-        session.close()
-        assert session._batch_pool is None
-        assert session._batch_pool_key is None
-        assert session._batch_shm is None
-        if had_shm is not None:
-            # The shared-memory intern snapshot was unlinked with the pool.
-            import multiprocessing.shared_memory as shm_mod
-
-            with pytest.raises(FileNotFoundError):
-                shm_mod.SharedMemory(name=had_shm.name)
-
-    def test_close_is_idempotent_and_session_still_decides(self, sigma, pairs):
-        session = Session(dependencies=sigma)
-        session.decide_many(pairs, semantics="bag", concurrency=2)
-        session.close()
-        session.close()
-        # In-process work is unaffected by pool teardown...
-        assert session.decide(pairs[0][0], pairs[0][1], "bag").equivalent
-        # ...and a new batch simply builds a fresh pool.
+        monkeypatch.setattr(batch_module, "_decide_worker", _die)
+        with pytest.raises(BrokenProcessPool):
+            session.decide_many(pairs, semantics="bag", concurrency=2)
+        monkeypatch.undo()
         report = session.decide_many(pairs, semantics="bag", concurrency=2)
+        assert len(report) == len(pairs)
         assert all(item.ok for item in report)
-        assert session.stats()["batch_pool"]["pools_created"] == 2
-        session.close()

@@ -1,8 +1,8 @@
 """Tests for the multi-worker engine pool (src/repro/serve/pool.py).
 
 Everything here runs the real server on an event-loop thread with
-``workers >= 2`` — real forked engine processes, real pipes, the real
-shared-memory intern snapshot — and drives it over TCP.  The suite pins
+``workers >= 2`` — real forked engine processes, real pipes — and drives
+it over TCP.  The suite pins
 the four behaviours the pool exists to provide:
 
 * verdict agreement with a direct in-process :class:`Session` regardless
@@ -25,7 +25,6 @@ import os
 import signal
 import threading
 import time
-from pathlib import Path
 
 import pytest
 
@@ -282,39 +281,6 @@ class TestDeltaCoherence:
             ]
             assert versions == [1, 1, 1, 1]
             assert stats["pool"]["sigma_version"] == 1
-
-
-# --------------------------------------------------------------------------- #
-class TestSharedMemoryLifecycle:
-    def test_snapshot_exists_while_serving_and_is_unlinked_on_stop(self, ex41):
-        shm_dir = Path("/dev/shm")
-        if not shm_dir.is_dir():  # pragma: no cover - non-Linux fallback
-            pytest.skip("no /dev/shm on this platform")
-        handle = _start(Session(dependencies=ex41.dependencies), workers=2)
-        try:
-            backend = handle.server.backend
-            assert backend._shm is not None
-            name = backend._shm.name
-            assert (shm_dir / name.lstrip("/")).exists()
-            pool = backend.pool_stats()
-            assert pool["intern_snapshot"]["shm_name"] == name
-            assert pool["intern_snapshot"]["terms"] > 0
-            assert pool["intern_snapshot"]["payload_bytes"] > 0
-        finally:
-            handle.stop()
-        assert not (shm_dir / name.lstrip("/")).exists(), (
-            "shared-memory intern snapshot leaked past server shutdown"
-        )
-
-    def test_workers_report_pinned_interned_terms(self, ex41):
-        with _start(Session(dependencies=ex41.dependencies), workers=2) as handle:
-            with ReproClient(handle.host, handle.port) as client:
-                stats = client.stats()
-            pinned = [
-                w["pinned_terms"] for w in stats["workers"] if "stats" in w
-            ]
-            assert len(pinned) == 2
-            assert all(count > 0 for count in pinned)
 
 
 # --------------------------------------------------------------------------- #

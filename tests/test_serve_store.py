@@ -1,21 +1,12 @@
 """Tests for the disk-backed chase-result store (src/repro/serve/store.py)
-and the warm-state plumbing it rides on: ``Session.stats()``, the
-``Session(store=...)`` read-through/write-through path, and the interned-term
-snapshot handoff used by multi-process serving.
+and the warm-state plumbing it rides on: ``Session.stats()`` and the
+``Session(store=...)`` read-through/write-through path.
 """
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
-from repro.core.terms import (
-    Constant,
-    Variable,
-    export_interned_terms,
-    pin_interned_terms,
-)
 from repro.serve import ChaseStore, ReproClient, ReproServer, key_digest
 from repro.session import Session
 
@@ -197,19 +188,3 @@ class TestSessionStats:
         profile = session.chase_profile().as_dict()
         assert profile["steps"] == profile["tgd_steps"] + profile["egd_steps"]
         assert 0.0 <= profile["index_hit_rate"] <= 1.0
-
-
-# --------------------------------------------------------------------------- #
-class TestInternSnapshot:
-    def test_export_and_pin_round_trip(self):
-        x, c = Variable("snapx"), Constant("snapc")
-        snapshot = export_interned_terms()
-        assert ("V", "snapx") in snapshot and ("C", "snapc") in snapshot
-        # Pinning in the same process re-interns to the identical objects.
-        pinned = pin_interned_terms(snapshot)
-        assert pinned == len(snapshot)
-        assert Variable("snapx") is x and Constant("snapc") is c
-
-    def test_pin_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            pin_interned_terms([("Q", "nope")])
